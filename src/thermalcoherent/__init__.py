@@ -58,7 +58,6 @@ from .observables import (
     cf_full,
     char_function_args,
     chi_signal,
-    fig1_ordinate,
     mean_amplitude_factor,
     mean_quadratures,
     quadrature_moments_numeric,

@@ -170,13 +170,6 @@ def _json_sidecar(csv_path: str) -> str:
     return csv_path + ".json"
 
 
-def _opnorm2(m: np.ndarray) -> float:
-    """Largest singular value via the Gram matrix eigenproblem."""
-    gram = m.conj().T @ m
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return math.sqrt(max(top, 0.0))
-
-
 def cmd_fig1(args: argparse.Namespace, rc: RunConfig) -> int:
     if not (0.0 <= args.theta_min < args.theta_max):
         raise _UsageError(f"need 0 <= theta-min < theta-max, got [{args.theta_min}, {args.theta_max}]")
@@ -290,10 +283,9 @@ def cmd_opo(args: argparse.Namespace, rc: RunConfig) -> int:
         n_slices=args.slices,
     )
     d = rc.cutoff if rc.cutoff is not None else 30
-    closed = closed_unitary(op, d)
-    sliced = sliced_unitary(op, d)
-    distance = _opnorm2(sliced - closed)
-    rho = signal_density(op, d)
+    # the cutoff check runs first, so a refused request skips the dense unitaries
+    rho = signal_density(op, d, tail_tol=rc.tail_tol)
+    distance = float(np.linalg.norm(sliced_unitary(op, d) - closed_unitary(op, d), 2))
     mean_amp = op.gamma_s * _hyper.expm1_over(op.theta)
     metrics = {
         "closed_sliced_distance": distance,

@@ -30,7 +30,6 @@ __all__ = [
     "cf_full",
     "char_function_args",
     "chi_signal",
-    "fig1_ordinate",
     "mean_amplitude_factor",
     "mean_quadratures",
     "quadrature_operators",
@@ -179,16 +178,6 @@ def mean_amplitude_factor(kind: StateKind, theta: float) -> float:
     if kind is StateKind.DOUBLE:
         return 1.0
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-def fig1_ordinate(kind: StateKind, theta: float) -> float:
-    """Mean position over 2 Re(alpha) sqrt(hbar/2 lam), as a function of theta.
-
-    The normalization removes alpha and the quadrature scale, leaving
-    the pure ordering effect: the three kinds give exp(theta),
-    (exp(theta) - 1)/theta and 1.
-    """
-    return mean_amplitude_factor(kind, theta)
 
 
 def mean_quadratures(

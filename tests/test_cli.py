@@ -179,6 +179,15 @@ def test_opo_outputs_csv_and_sidecar(tmp_path):
     assert 0.0 < doc["closed_sliced_distance"] < 0.5
 
 
+def test_opo_tail_overflow_exits_4(tmp_path, capsys):
+    """A drive too strong for the cutoff is refused, not truncated silently."""
+    out = tmp_path / "opo.csv"
+    code = main(["opo", "--g-s", "3", "--g-i", "3", "--t1", "1.5", "--out", str(out)])
+    assert code == 4
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.json"
     cfg_out = tmp_path / "from_config.csv"

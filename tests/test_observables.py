@@ -17,7 +17,6 @@ from thermalcoherent import (
     char_function_args,
     chi_signal,
     displacement_D,
-    fig1_ordinate,
     matrix_exp,
     mean_amplitude_factor,
     mean_quadratures,
@@ -134,7 +133,6 @@ def test_mean_amplitude_factor_values_and_ordering():
         assert r > t > dd == 1.0
     for kind in KINDS:
         assert mean_amplitude_factor(kind, 0.0) == 1.0
-        assert fig1_ordinate(kind, 0.4) == mean_amplitude_factor(kind, 0.4)
 
 
 def test_mean_amplitude_factor_small_angle():

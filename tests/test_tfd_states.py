@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,7 @@ from thermalcoherent import (
     xi_operator,
     xi_residual,
 )
+from thermalcoherent.tfd_states import _bessel_j, _generator_bound
 
 DENSE_TOL = 1e-12
 SCHMIDT_TOL = 1e-11
@@ -120,15 +122,69 @@ def test_displacement_factorizes_into_coherent_product():
     assert np.allclose(psi, product, atol=1e-11)
 
 
-def test_apply_exp_generator_matches_dense_action():
+@pytest.mark.parametrize("x", [0.05, 3.0, 80.0, 800.0])
+def test_bessel_coefficients_match_mpmath(x):
+    cut = 1e-15
+    j = _bessel_j(x, cut)
+    exact = np.array([float(mpmath.besselj(k, x)) for k in range(j.size)])
+    assert np.abs(j - exact).max() <= 1e-14
+    # the expansion stops at the first order above x whose term is below cut
+    order = j.size - 1
+    assert order > x
+    assert 2.0 * abs(exact[order]) <= cut
+    assert all(2.0 * abs(exact[k]) > cut for k in range(math.floor(x) + 1, order))
+
+
+def test_bessel_values_survive_overflow_rescaling():
+    """R = 3000 (theta = 1.8 near d = 816) rescales the backward recurrence."""
+    x = 3000.0
+    j = _bessel_j(x, 1e-15)
+    assert j[0] ** 2 + 2.0 * (j[1:] ** 2).sum() == pytest.approx(1.0, abs=1e-13)
+    for k in (0, 1, 2999, 3100, j.size - 1):
+        assert j[k] == pytest.approx(float(mpmath.besselj(k, x, maxterms=10**6)), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    ("theta", "alpha", "zeta", "d"),
+    [
+        (0.4, 0.5 - 0.2j, 0.1 + 0.3j, 16),
+        # one slice of the converge subcommand's 512-slice product
+        (0.5 / 512, 0.8 / 512, 0.8 / 512, 30),
+        # a wide spectrum: R = 2 theta (d - 1) + 2 (|alpha| + |zeta|) sqrt(d) ~ 114
+        (1.2, 0.8 * np.exp(0.7j), 0.8 * np.exp(-0.7j), 40),
+    ],
+    ids=["d16", "slice-d30", "wide-d40"],
+)
+def test_apply_exp_generator_matches_dense_action(theta, alpha, zeta, d):
     rng = np.random.default_rng(7)
-    d = 16
     vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
     vec /= np.linalg.norm(vec)
-    theta, alpha, zeta = 0.4, 0.5 - 0.2j, 0.1 + 0.3j
     fast = apply_exp_generator(vec, theta, alpha, zeta)
     dense = matrix_exp(_dense_combined_generator(theta, alpha, zeta, d)) @ vec
     assert np.allclose(fast, dense, atol=1e-11)
+    assert np.linalg.norm(fast - dense) <= 1e-11
+
+
+def test_generator_bound_covers_spectrum():
+    """The Chebyshev expansion needs the spectrum of A inside i[-R, R]."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d = int(rng.integers(2, 13))
+        theta = float(rng.uniform(0.0, 2.0))
+        alpha, zeta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        gen = _dense_combined_generator(theta, alpha, zeta, d)
+        radius = np.abs(np.linalg.eigvalsh(1j * gen)).max()
+        assert radius <= _generator_bound(theta, alpha, zeta, d)
+
+
+def test_apply_exp_generator_preserves_norm_at_large_cutoff():
+    rng = np.random.default_rng(3)
+    d = 204
+    vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    vec /= np.linalg.norm(vec)
+    alpha = 0.8 * np.exp(1.1j)
+    out = apply_exp_generator(vec, 1.8, alpha, alpha.conjugate())
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(
