@@ -17,7 +17,6 @@ from .fockspace import (
     coherent_vector,
     creation_matrix,
     embed,
-    matrix_exp,
     number_matrix,
     partial_trace,
     reduced_density,

@@ -285,7 +285,10 @@ def cmd_opo(args: argparse.Namespace, rc: RunConfig) -> int:
     d = rc.cutoff if rc.cutoff is not None else 30
     # the cutoff check runs first, so a refused request skips the dense unitaries
     rho = signal_density(op, d, tail_tol=rc.tail_tol)
-    distance = float(np.linalg.norm(sliced_unitary(op, d) - closed_unitary(op, d), 2))
+    # the eigendecomposition in closed_unitary sets the peak memory, so it
+    # runs before the sliced product is held
+    closed = closed_unitary(op, d)
+    distance = float(np.linalg.norm(sliced_unitary(op, d) - closed, 2))
     mean_amp = op.gamma_s * _hyper.expm1_over(op.theta)
     metrics = {
         "closed_sliced_distance": distance,
@@ -319,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="quadrature scale lambda (default 1)")
     common.add_argument("--epsilon", type=float, default=None, help="mode energy (default 1)")
     common.add_argument("--cutoff", type=int, default=None,
-                        help="fixed per-mode Fock cutoff (default: adaptive)")
+                        help="per-mode Fock cutoff of converge and opo (default 30)")
     common.add_argument("--tail-tol", dest="tail_tol", type=float, default=None,
                         help="adaptive-cutoff tail tolerance (default 1e-8)")
     common.add_argument("--seed", type=int, default=None, help="seed for randomized grids")

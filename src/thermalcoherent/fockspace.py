@@ -25,7 +25,6 @@ __all__ = [
     "coherent_vector",
     "creation_matrix",
     "embed",
-    "matrix_exp",
     "number_matrix",
     "partial_trace",
     "reduced_density",
@@ -88,41 +87,14 @@ def embed(op: np.ndarray, slot: str) -> np.ndarray:
     raise ValueError(f"slot must be 'ordinary' or 'tilde', got {slot!r}")
 
 
-def matrix_exp(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a truncated series.
+def _unitary_exp(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for a Hermitian matrix h, from its eigendecomposition.
 
-    The scaling power is chosen from the 1-norm so the scaled matrix has
-    norm at most one; series terms are then accumulated until the next
-    term drops below ``tol`` relative to the running sum, and the result
-    is squared back up.  For anti-Hermitian input the unitarity defect
-    of the output is of order ``tol``.
+    The eigenvectors of a Hermitian matrix are orthonormal, so the result
+    is unitary to rounding (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix exponential of non-finite input")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    n = m.shape[0]
-    norm = np.linalg.norm(m, 1)
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)
-    squarings = max(0, int(np.ceil(np.log2(norm))))
-    a = m / (2.0**squarings)
-    result = np.eye(n, dtype=complex) + a
-    term = a.copy()
-    for k in range(2, 64):
-        term = term @ a
-        term /= k
-        result += term
-        if np.linalg.norm(term, 1) <= tol * np.linalg.norm(result, 1):
-            break
-    else:  # pragma: no cover - norm <= 1 converges in ~20 terms
-        raise CutoffError("matrix exponential series failed to converge")
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def coherent_vector(mu: complex, d: int, tail_tol: float | None = 1e-8) -> np.ndarray:

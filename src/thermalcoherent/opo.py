@@ -26,13 +26,13 @@ import numpy as np
 from .fockspace import (
     DensityMatrix,
     TwoModeState,
+    _unitary_exp,
     annihilation_matrix,
     embed,
-    matrix_exp,
     reduced_density,
     vacuum_two_mode,
 )
-from .tfd_states import apply_exp_generator, generator_G
+from .tfd_states import apply_exp_generator, displacement_D, generator_G, squeeze_U
 
 __all__ = [
     "OpoParams",
@@ -96,19 +96,20 @@ class OpoParams:
         return self.t1 + self.t2
 
 
-def h_interaction(chi2: float, d: int, hbar: float = 1.0) -> np.ndarray:
-    """Down-conversion Hamiltonian i*hbar*chi2*(as+ ai+ - as ai).
+def h_interaction(chi2: float, d: int) -> np.ndarray:
+    """Down-conversion Hamiltonian i*chi2*(as+ ai+ - as ai), with hbar = 1.
 
-    Equal to -hbar*chi2 times the squeeze generator, so
-    exp(-i t H / hbar) is the two-mode squeeze by chi2 * t.
+    Equal to -chi2 times the squeeze generator, so exp(-i t H) is the
+    two-mode squeeze by chi2 * t.  A different hbar rescales H and the
+    time step of exp(-i t H / hbar) together and so changes no unitary.
     """
-    return -hbar * chi2 * generator_G(d)
+    return -chi2 * generator_G(d)
 
 
-def h_drive(g_s: complex, g_i: complex, d: int, hbar: float = 1.0) -> np.ndarray:
-    """Coherent drive Hamiltonian i*hbar*(g a+ - g* a) on both modes.
+def h_drive(g_s: complex, g_i: complex, d: int) -> np.ndarray:
+    """Coherent drive Hamiltonian i*(g a+ - g* a) on both modes, with hbar = 1.
 
-    exp(-i t H / hbar) displaces signal by g_s * t and idler by g_i * t.
+    exp(-i t H) displaces signal by g_s * t and idler by g_i * t.
     """
     a = annihilation_matrix(d)
     ad = a.conj().T
@@ -116,35 +117,30 @@ def h_drive(g_s: complex, g_i: complex, d: int, hbar: float = 1.0) -> np.ndarray
     g_i = complex(g_i)
     h = g_s * embed(ad, "ordinary") - g_s.conjugate() * embed(a, "ordinary")
     h += g_i * embed(ad, "tilde") - g_i.conjugate() * embed(a, "tilde")
-    return 1j * hbar * h
+    return 1j * h
 
 
-def sliced_unitary(
-    op: OpoParams, d: int, hbar: float = 1.0, reverse: bool = False
-) -> np.ndarray:
-    """Round-trip product [exp(-i t1 H_int / hbar N) exp(-i t2 H_drv / hbar N)]^N.
+def sliced_unitary(op: OpoParams, d: int) -> np.ndarray:
+    """Round-trip product [exp(-i t1 H_int / N) exp(-i t2 H_drv / N)]^N.
 
     The crystal slice is applied after the drive slice within each trip
-    (it stands leftmost in the product); ``reverse=True`` swaps the two,
-    which changes finite-N values but not the N -> infinity limit and
-    exists for convergence studies.
+    (it stands leftmost in the product).  The two slice unitaries are the
+    squeeze U(theta / N) and the displacement D(gamma_s / N, gamma_i / N).
     """
     n = op.n_slices
-    crystal = matrix_exp(-1j * (op.t1 / (n * hbar)) * h_interaction(op.chi2, d, hbar))
-    drive = matrix_exp(-1j * (op.t2 / (n * hbar)) * h_drive(op.g_s, op.g_i, d, hbar))
-    one_trip = drive @ crystal if reverse else crystal @ drive
+    one_trip = squeeze_U(op.theta / n, d) @ displacement_D(op.gamma_s / n, op.gamma_i / n, d)
     return np.linalg.matrix_power(one_trip, n)
 
 
-def closed_unitary(op: OpoParams, d: int, hbar: float = 1.0) -> np.ndarray:
-    """Single-exponential limit exp(-i (t1 H_int + t2 H_drv) / hbar).
+def closed_unitary(op: OpoParams, d: int) -> np.ndarray:
+    """Single-exponential limit exp(-i (t1 H_int + t2 H_drv)).
 
     Expands to exp[-theta(as ai - as+ ai+) + gamma_s as+ - gamma_s* as
     + gamma_i ai+ - gamma_i* ai], the combined-exponential thermal
-    coherent state preparation.
+    coherent state preparation.  It is built from the dense Hamiltonians,
+    independently of the ladder-shift action behind the state builders.
     """
-    gen = op.t1 * h_interaction(op.chi2, d, hbar) + op.t2 * h_drive(op.g_s, op.g_i, d, hbar)
-    return matrix_exp(-1j / hbar * gen)
+    return _unitary_exp(op.t1 * h_interaction(op.chi2, d) + op.t2 * h_drive(op.g_s, op.g_i, d))
 
 
 def signal_density(op: OpoParams, d: int, tail_tol: float | None = None) -> DensityMatrix:

@@ -66,8 +66,6 @@ class GaussianQP:
         val /= 2.0 * math.pi * self.sigma**2
         return float(val) if val.ndim == 0 else val
 
-    __call__ = evaluate
-
 
 def _gaussian(kind: StateKind, alpha: complex, theta: float, sigma: float, tag: str) -> GaussianQP:
     if theta < 0.0 or not math.isfinite(theta):

@@ -25,11 +25,10 @@ from . import _hyper
 from .fockspace import (
     CutoffError,
     TwoModeState,
+    _unitary_exp,
     annihilation_matrix,
     creation_matrix,
     embed,
-    matrix_exp,
-    two_mode_tail_mass,
     vacuum_two_mode,
 )
 
@@ -147,9 +146,8 @@ class DisplacementParams:
 
 def generator_G(d: int) -> np.ndarray:
     """Hermitian squeeze generator G = i(a a~ - a~+ a+) on the doubled space."""
-    a = embed(annihilation_matrix(d), "ordinary")
-    at = embed(annihilation_matrix(d), "tilde")
-    pair = a @ at
+    a = annihilation_matrix(d)
+    pair = np.kron(a, a)  # a a~, the ordinary mode being the first factor
     return 1j * (pair - pair.conj().T)
 
 
@@ -158,12 +156,12 @@ def displacement_D(alpha: complex, zeta: complex, d: int) -> np.ndarray:
 
     The two single-mode generators commute exactly, also after
     truncation, so the operator factorizes into a Kronecker product of
-    single-mode exponentials.
+    single-mode exponentials exp(-i h) with h = i(z a+ - z* a) Hermitian.
     """
     a = annihilation_matrix(d)
-    gen_ord = complex(alpha) * a.conj().T - np.conj(alpha) * a
-    gen_til = complex(zeta) * a.conj().T - np.conj(zeta) * a
-    return np.kron(matrix_exp(gen_ord), matrix_exp(gen_til))
+    h_ord = 1j * (complex(alpha) * a.conj().T - np.conj(alpha) * a)
+    h_til = 1j * (complex(zeta) * a.conj().T - np.conj(zeta) * a)
+    return np.kron(_unitary_exp(h_ord), _unitary_exp(h_til))
 
 
 def squeeze_U(theta: float, d: int) -> np.ndarray:
@@ -171,7 +169,8 @@ def squeeze_U(theta: float, d: int) -> np.ndarray:
 
     The generator conserves the photon-number difference between the
     modes, so the exponential is assembled block by block along the
-    difference sectors; each block is a small dense exponential.
+    difference sectors; each block is exp(-i h) of the small Hermitian
+    sector block h of -theta G.
     """
     theta = float(theta)
     dim = d * d
@@ -181,15 +180,12 @@ def squeeze_U(theta: float, d: int) -> np.ndarray:
         # basis of sector k: |j + max(k,0), j + max(-k,0)> for j = 0..size-1
         n0, m0 = max(k, 0), max(-k, 0)
         idx = np.array([(j + n0) * d + (j + m0) for j in range(size)])
-        if size == 1:
-            out[idx[0], idx[0]] = 1.0
-            continue
         j = np.arange(size - 1)
         coup = theta * np.sqrt((j + n0 + 1.0) * (j + m0 + 1.0))
         block = np.zeros((size, size), dtype=complex)
-        block[j + 1, j] = coup
-        block[j, j + 1] = -coup
-        out[np.ix_(idx, idx)] = matrix_exp(block)
+        block[j + 1, j] = 1j * coup
+        block[j, j + 1] = -1j * coup
+        out[np.ix_(idx, idx)] = _unitary_exp(block)
     return out
 
 
@@ -336,14 +332,14 @@ def _build_vector(kind: StateKind, dp: DisplacementParams, theta: float, d: int)
 def _adaptive_build(build, magnitude: float, theta: float, d: int | None, tail_tol: float):
     """Run ``build(d)`` at the adaptive cutoff, doubling until the tail fits."""
     if d is not None:
-        vec = build(d)
-        return TwoModeState.from_vector(vec, d, tail_tol=tail_tol)
+        return TwoModeState.from_vector(build(d), d, tail_tol=tail_tol)
     d = default_cutoff(magnitude, theta)
     while d <= MAX_ADAPTIVE_CUTOFF:
         vec = build(d)
-        if two_mode_tail_mass(vec / np.linalg.norm(vec), d) <= tail_tol:
+        try:
             return TwoModeState.from_vector(vec, d, tail_tol=tail_tol)
-        d *= 2
+        except CutoffError:
+            d *= 2
     raise CutoffError(
         f"adaptive cutoff exceeded {MAX_ADAPTIVE_CUTOFF} before the "
         f"tail mass dropped below {tail_tol:.3e}"
@@ -473,10 +469,4 @@ def improper_eigenvector(
     outside the tilde-invariant subspace, which is what makes the
     family improper as a thermal-state expansion basis.
     """
-    dp = improper_displacement(f, tp)
-
-    def build(dd: int) -> np.ndarray:
-        vec = apply_exp_generator(vacuum_two_mode(dd), tp.theta, 0.0, 0.0)
-        return apply_exp_generator(vec, 0.0, dp.alpha, dp.zeta)
-
-    return _adaptive_build(build, max(abs(dp.alpha), abs(dp.zeta)), tp.theta, d, tail_tol)
+    return build_state(StateKind.DOUBLE, improper_displacement(f, tp), tp, d, tail_tol)

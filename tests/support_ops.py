@@ -14,8 +14,9 @@ measured without the boundary artifacts.
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import expm
 
-from thermalcoherent import annihilation_matrix, matrix_exp
+from thermalcoherent import annihilation_matrix
 
 
 @lru_cache(maxsize=4)
@@ -57,8 +58,8 @@ def displace_apply(block: np.ndarray, alpha: complex, zeta: complex) -> np.ndarr
     """Apply the two-mode displacement D(alpha, zeta) to a (d, d, batch) block."""
     d = block.shape[0]
     a = annihilation_matrix(d)
-    g_ord = matrix_exp(complex(alpha) * a.conj().T - np.conj(alpha) * a)
-    g_til = matrix_exp(complex(zeta) * a.conj().T - np.conj(zeta) * a)
+    g_ord = expm(complex(alpha) * a.conj().T - np.conj(alpha) * a)
+    g_til = expm(complex(zeta) * a.conj().T - np.conj(zeta) * a)
     out = np.tensordot(g_ord, block, axes=(1, 0))
     out = np.tensordot(g_til, out, axes=(1, 1)).transpose(1, 0, 2)
     return np.ascontiguousarray(out)

@@ -343,15 +343,14 @@ def test_12_gaussian_oracle_equivalence():
 def test_13_opo_identification():
     op = OpoParams(chi2=1.0, g_s=0.7, g_i=0.7, t1=0.5, t2=1.0)
     d = 30
-    column = closed_unitary(op, d)[:, 0]
+    closed = closed_unitary(op, d)
     state = build_state(
         StateKind.TROTTER,
         DisplacementParams(alpha=op.gamma_s, zeta=op.gamma_i),
         ThermalParams.from_theta(op.theta),
         d=d,
     )
-    ident = float(np.linalg.norm(column - state.amplitudes))
-    closed = closed_unitary(op, d)
+    ident = float(np.linalg.norm(closed[:, 0] - state.amplitudes))
     errs = []
     n_values = (8, 16, 32, 64)
     for n in n_values:

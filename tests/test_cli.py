@@ -235,3 +235,20 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().splitlines()[1] == "0,1,1,1"
+
+
+def test_runtime_imports_neither_scipy_nor_mpmath(tmp_path):
+    """The runtime stays numpy-only although the tests use scipy and mpmath."""
+    script = (
+        "import sys\n"
+        "from thermalcoherent.cli import main\n"
+        "assert main(['opo', '--q-grid', '3', '--slices', '2', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))\n"
+    )
+    out = tmp_path / "opo.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(out)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert out.with_suffix(".json").exists()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from thermalcoherent import (
     CutoffError,
@@ -13,26 +14,15 @@ from thermalcoherent import (
     coherent_vector,
     creation_matrix,
     embed,
-    matrix_exp,
     number_matrix,
     partial_trace,
     reduced_density,
     two_mode_tail_mass,
     vacuum_two_mode,
 )
+from thermalcoherent.fockspace import _unitary_exp
 
-EXP_TOL = 1e-12
 RNG_SEED = 20240817
-
-
-def _taylor_exp(m: np.ndarray, terms: int = 160) -> np.ndarray:
-    """Plain Taylor series, trustworthy for moderate norms."""
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ m / k
-        out = out + term
-    return out
 
 
 def test_ladder_action_on_number_states():
@@ -87,36 +77,15 @@ def test_embed_rejects_unknown_slot():
         embed(number_matrix(3), "signal")
 
 
-def test_matrix_exp_of_zero_is_identity():
-    z = np.zeros((5, 5), dtype=complex)
-    assert np.array_equal(matrix_exp(z), np.eye(5))
-
-
-@pytest.mark.parametrize("scale", [0.3, 2.0, 7.5])
-def test_matrix_exp_matches_taylor_series(scale):
-    rng = np.random.default_rng(RNG_SEED)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    m *= scale / np.linalg.norm(m, 2)
-    assert np.allclose(matrix_exp(m), _taylor_exp(m), atol=EXP_TOL)
-
-
-def test_matrix_exp_hermitian_generator_gives_unitary():
+@pytest.mark.parametrize("scale", [0.0, 0.3, 7.5])
+def test_unitary_exp_matches_expm_and_is_unitary(scale):
     rng = np.random.default_rng(RNG_SEED + 1)
     h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     h = h + h.conj().T
-    u = matrix_exp(1j * h)
-    assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
-    # eigendecomposition route as an independent oracle
-    w, v = np.linalg.eigh(h)
-    oracle = (v * np.exp(1j * w)) @ v.conj().T
-    assert np.allclose(u, oracle, atol=1e-12)
-
-
-def test_matrix_exp_doubling_consistency():
-    rng = np.random.default_rng(RNG_SEED + 2)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    half = matrix_exp(m)
-    assert np.allclose(matrix_exp(2.0 * m), half @ half, atol=1e-11)
+    h *= scale / np.linalg.norm(h, 2)
+    u = _unitary_exp(h)
+    assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-13)
+    assert np.allclose(u, expm(-1j * h), atol=1e-12)
 
 
 def test_coherent_vector_poisson_statistics():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from thermalcoherent import (
     DisplacementParams,
@@ -28,16 +29,14 @@ PARAMS = OpoParams(chi2=0.5, g_s=0.8 + 0.2j, g_i=0.3 - 0.4j, t1=1.2, t2=0.9)
 
 
 def test_interaction_hamiltonian_is_hermitian():
-    h = h_interaction(0.7, D, hbar=1.3)
+    h = h_interaction(0.7, D)
     assert np.abs(h - h.conj().T).max() < 1e-14
-    assert np.abs(h + 1.3 * 0.7 * generator_G(D)).max() == 0.0
+    assert np.abs(h + 0.7 * generator_G(D)).max() == 0.0
 
 
 def test_crystal_evolution_is_two_mode_squeeze():
-    chi2, t1, hbar = 0.4, 1.5, 1.0
-    from thermalcoherent.fockspace import matrix_exp
-
-    u = matrix_exp(-1j * t1 / hbar * h_interaction(chi2, D, hbar))
+    chi2, t1 = 0.4, 1.5
+    u = expm(-1j * t1 * h_interaction(chi2, D))
     assert np.abs(u - squeeze_U(chi2 * t1, D)).max() < UNITARY_TOL
 
 
@@ -47,9 +46,7 @@ def test_drive_hamiltonian_vanishes_without_drives():
 
 def test_drive_evolution_displaces_both_modes():
     g_s, g_i, t2 = 0.6 - 0.1j, 0.25j, 1.4
-    from thermalcoherent.fockspace import matrix_exp
-
-    u = matrix_exp(-1j * t2 * h_drive(g_s, g_i, D))
+    u = expm(-1j * t2 * h_drive(g_s, g_i, D))
     psi = u @ vacuum_two_mode(D)
     target = np.kron(
         coherent_vector(g_s * t2, D, tail_tol=None),
@@ -60,12 +57,9 @@ def test_drive_evolution_displaces_both_modes():
 
 def test_single_slice_is_crystal_after_drive():
     op = OpoParams(**{**PARAMS.__dict__, "n_slices": 1})
-    from thermalcoherent.fockspace import matrix_exp
-
-    crystal = matrix_exp(-1j * op.t1 * h_interaction(op.chi2, D))
-    drive = matrix_exp(-1j * op.t2 * h_drive(op.g_s, op.g_i, D))
+    crystal = expm(-1j * op.t1 * h_interaction(op.chi2, D))
+    drive = expm(-1j * op.t2 * h_drive(op.g_s, op.g_i, D))
     assert np.abs(sliced_unitary(op, D) - crystal @ drive).max() < UNITARY_TOL
-    assert np.abs(sliced_unitary(op, D, reverse=True) - drive @ crystal).max() < UNITARY_TOL
 
 
 def test_slicing_moot_without_pump():

@@ -51,7 +51,6 @@ def test_gaussian_qp_evaluate_scalar_and_array():
     vals = g.evaluate(pts)
     assert vals.shape == (2, 2)
     assert vals[0, 0] == pytest.approx(peak)
-    assert g(0.0) == pytest.approx(g.evaluate(0.0))
 
 
 def test_gaussian_qp_normalization():
