@@ -149,12 +149,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             return file_cfg[key]
         return default
 
+    # only converge and opo take --cutoff and --tail-tol
+    cutoff = pick(getattr(args, "cutoff", None), "cutoff", None)
     return RunConfig(
         hbar=float(pick(args.hbar, "hbar", 1.0)),
         lambda_=float(pick(args.lambda_, "lambda", 1.0)),
         epsilon=float(pick(args.epsilon, "epsilon", 1.0)),
-        cutoff=(lambda c: None if c is None else int(c))(pick(args.cutoff, "cutoff", None)),
-        tail_tol=float(pick(args.tail_tol, "tail_tol", 1e-8)),
+        cutoff=None if cutoff is None else int(cutoff),
+        tail_tol=float(pick(getattr(args, "tail_tol", None), "tail_tol", 1e-8)),
         seed=int(pick(args.seed, "seed", 0)),
         out=pick(args.out, "out", None),
     )
@@ -321,14 +323,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lambda", dest="lambda_", type=float, default=None,
                         help="quadrature scale lambda (default 1)")
     common.add_argument("--epsilon", type=float, default=None, help="mode energy (default 1)")
-    common.add_argument("--cutoff", type=int, default=None,
-                        help="per-mode Fock cutoff of converge and opo (default 30)")
-    common.add_argument("--tail-tol", dest="tail_tol", type=float, default=None,
-                        help="adaptive-cutoff tail tolerance (default 1e-8)")
     common.add_argument("--seed", type=int, default=None, help="seed for randomized grids")
     common.add_argument("--out", type=str, default=None, help="output path")
     common.add_argument("--config", type=str, default=None,
                         help="JSON file with defaults for the flags above")
+
+    fock = argparse.ArgumentParser(add_help=False)
+    fock.add_argument("--cutoff", type=int, default=None,
+                      help="per-mode Fock cutoff (default 30)")
+    fock.add_argument("--tail-tol", dest="tail_tol", type=float, default=None,
+                      help="tail tolerance enforced at the cutoff (default 1e-8)")
 
     parser = argparse.ArgumentParser(
         prog="thermalcoherent",
@@ -361,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=40001)
     p.set_defaults(func=cmd_fig3)
 
-    p = sub.add_parser("converge", parents=[common],
+    p = sub.add_parser("converge", parents=[common, fock],
                        help="finite-slice distance to the closed form vs slice count")
     p.add_argument("--alpha", type=_complex_arg, default=complex(0.8))
     p.add_argument("--zeta", type=_complex_arg, default=None,
@@ -376,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="corrupt the equivalence map to prove failures are caught")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("opo", parents=[common], help="parametric-oscillator demo")
+    p = sub.add_parser("opo", parents=[common, fock], help="parametric-oscillator demo")
     p.add_argument("--chi2", type=float, default=1.0)
     p.add_argument("--g-s", dest="g_s", type=_complex_arg, default=complex(0.8))
     p.add_argument("--g-i", dest="g_i", type=_complex_arg, default=complex(0.8))

@@ -225,6 +225,15 @@ def test_bad_flag_value_exits_2(capsys):
     assert main(["fig1", "--tail-tol", "0.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--cutoff", "5"], ["fig1", "--cutoff", "2"], ["fig2", "--tail-tol", "1e-9"]],
+)
+def test_cutoff_flags_rejected_where_unused(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "fig1.csv"
     proc = subprocess.run(

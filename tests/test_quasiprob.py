@@ -1,6 +1,8 @@
 """Tests for quasiprobability densities, numeric transforms, completeness."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,20 +177,54 @@ def test_quadrature_grid_validation():
     assert QuadratureGrid.for_theta(0.1).half_width > 6.0
 
 
-def test_char_signal_numeric_matches_closed_form():
+@pytest.mark.parametrize(
+    "etas",
+    [
+        np.array([0.0, 0.4, -0.3j, 0.5 + 0.5j, -1.0 + 0.2j]),
+        np.linspace(-1.2, 1.2, 7)[:, None] + 1j * np.linspace(-1.0, 1.0, 5)[None, :],
+    ],
+    ids=["scattered", "grid-7x5"],
+)
+def test_char_signal_numeric_matches_closed_form(etas):
     alpha, theta = 0.7 + 0.2j, 0.45
     rho = _reduced_round(alpha, theta, tail_tol=1e-13)
-    etas = np.array([0.0, 0.4, -0.3j, 0.5 + 0.5j, -1.0 + 0.2j])
     vals = char_signal_numeric(rho, etas)
-    expected = np.array([chi_signal(alpha, theta, e) for e in etas])
+    assert vals.shape == etas.shape
+    expected = np.vectorize(lambda e: chi_signal(alpha, theta, e))(etas)
     assert np.abs(vals - expected).max() < 1e-9
-    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    assert vals.flat[np.argmin(np.abs(etas))] == pytest.approx(1.0, abs=1e-12)
+    # points sharing coordinates give what each point gives on its own
+    joint = char_signal_numeric(rho, etas, d_eval=120)
+    alone = [char_signal_numeric(rho, np.array([e]), d_eval=120)[0] for e in etas.flat]
+    assert np.abs(joint.reshape(-1) - alone).max() < 1e-12
 
 
 def test_char_signal_numeric_rejects_oversized_padding():
     rho = _reduced_round(0.5, 0.3)
     with pytest.raises(CutoffError):
         char_signal_numeric(rho, np.array([60.0 + 60.0j]))
+
+
+def test_wigner_quadrature_peak_memory():
+    """The verify Wigner quadrature never holds (grid points) x d_eval arrays.
+
+    The peak is read from VmHWM, which starts afresh at exec; the
+    child's ru_maxrss would still carry the test process's own peak.
+    """
+    script = (
+        "import numpy as np\n"
+        "from thermalcoherent import (DisplacementParams, QuadratureGrid, StateKind,\n"
+        "    ThermalParams, build_state, reduced_density, wigner_numeric_many)\n"
+        "state = build_state(StateKind.DOUBLE, DisplacementParams.invariant(0.8),\n"
+        "                    ThermalParams.from_theta(0.4), d=25)\n"
+        "rho = reduced_density(state, 'ordinary')\n"
+        "wigner_numeric_many(rho, np.array([0.0, 1.0, -1.0 + 1.0j]), QuadratureGrid.for_theta(0.4))\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')) / 1024.0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 150.0
 
 
 def test_completeness_constant_values():
