@@ -65,9 +65,6 @@ from .observables import (
 )
 from .quasiprob import (
     GaussianQP,
-    QuadratureError,
-    QuadratureGrid,
-    char_signal_numeric,
     completeness_constant,
     completeness_defect,
     p_rep,
@@ -75,7 +72,6 @@ from .quasiprob import (
     q_func_numeric,
     wigner,
     wigner_numeric,
-    wigner_numeric_many,
 )
 from .gaussian_oracle import (
     GaussianMoments,

@@ -12,7 +12,7 @@ opo       parametric-oscillator demo: distances, purity, signal Q grid
 All numeric output is CSV (comma separated, header row, 17 significant
 digits, LF endings) or JSON (sorted keys, two-space indent).  Exit
 codes: 0 success, 1 property failure, 2 bad arguments, 3 I/O failure,
-4 cutoff or quadrature overflow.
+4 cutoff overflow.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .equivalence import phase_aligned_distance
 from .fockspace import CutoffError
 from .observables import PhysicalConstants, mean_amplitude_factor
 from .opo import OpoParams, closed_unitary, signal_density, sliced_unitary
-from .quasiprob import QuadratureError, p_rep, q_func, q_func_numeric
+from .quasiprob import p_rep, q_func, q_func_numeric
 from .tfd_states import (
     DisplacementParams,
     StateKind,
@@ -48,7 +48,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_OVERFLOW = 4
 
-_CONFIG_KEYS = ("hbar", "lambda", "epsilon", "cutoff", "tail_tol", "seed", "out")
+_CONFIG_KEYS = ("hbar", "lambda", "cutoff", "tail_tol", "seed", "out")
+# opo holds dense d^2 x d^2 complex unitaries, 85 MB each at d = 48; their
+# eigendecomposition and matrix powers grow as d^6 in time and d^4 in memory
+_OPO_MAX_CUTOFF = 48
 
 
 class _UsageError(Exception):
@@ -61,14 +64,13 @@ class RunConfig:
 
     hbar: float = 1.0
     lambda_: float = 1.0
-    epsilon: float = 1.0
     cutoff: int | None = None
     tail_tol: float = 1e-8
     seed: int = 0
     out: str | None = None
 
     def __post_init__(self) -> None:
-        for label, v in (("hbar", self.hbar), ("lambda", self.lambda_), ("epsilon", self.epsilon)):
+        for label, v in (("hbar", self.hbar), ("lambda", self.lambda_)):
             if not (math.isfinite(v) and v > 0.0):
                 raise _UsageError(f"{label} must be finite and positive, got {v}")
         if not (0.0 < self.tail_tol <= 1e-4):
@@ -78,7 +80,7 @@ class RunConfig:
 
     @property
     def constants(self) -> PhysicalConstants:
-        return PhysicalConstants(hbar=self.hbar, lam=self.lambda_, epsilon=self.epsilon)
+        return PhysicalConstants(hbar=self.hbar, lam=self.lambda_)
 
 
 def _complex_arg(text: str) -> complex:
@@ -149,15 +151,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             return file_cfg[key]
         return default
 
-    # only converge and opo take --cutoff and --tail-tol
+    # only verify takes --hbar, --lambda and --seed; only converge and opo
+    # take --cutoff and --tail-tol
     cutoff = pick(getattr(args, "cutoff", None), "cutoff", None)
     return RunConfig(
-        hbar=float(pick(args.hbar, "hbar", 1.0)),
-        lambda_=float(pick(args.lambda_, "lambda", 1.0)),
-        epsilon=float(pick(args.epsilon, "epsilon", 1.0)),
+        hbar=float(pick(getattr(args, "hbar", None), "hbar", 1.0)),
+        lambda_=float(pick(getattr(args, "lambda_", None), "lambda", 1.0)),
         cutoff=None if cutoff is None else int(cutoff),
         tail_tol=float(pick(getattr(args, "tail_tol", None), "tail_tol", 1e-8)),
-        seed=int(pick(args.seed, "seed", 0)),
+        seed=int(pick(getattr(args, "seed", None), "seed", 0)),
         out=pick(args.out, "out", None),
     )
 
@@ -263,7 +265,7 @@ def cmd_verify(args: argparse.Namespace, rc: RunConfig) -> int:
             }
             for res in results
         ],
-        "constants": {"epsilon": rc.epsilon, "hbar": rc.hbar, "lambda": rc.lambda_},
+        "constants": {"hbar": rc.hbar, "lambda": rc.lambda_},
         "sabotage": args.sabotage,
         "seed": rc.seed,
     }
@@ -285,6 +287,8 @@ def cmd_opo(args: argparse.Namespace, rc: RunConfig) -> int:
         n_slices=args.slices,
     )
     d = rc.cutoff if rc.cutoff is not None else 30
+    if d > _OPO_MAX_CUTOFF:
+        raise _UsageError(f"opo forms dense d^2 x d^2 unitaries; cutoff {d} exceeds {_OPO_MAX_CUTOFF}")
     # the cutoff check runs first, so a refused request skips the dense unitaries
     rho = signal_density(op, d, tail_tol=rc.tail_tol)
     # the eigendecomposition in closed_unitary sets the peak memory, so it
@@ -319,18 +323,19 @@ def cmd_opo(args: argparse.Namespace, rc: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=None, help="Planck constant (default 1)")
-    common.add_argument("--lambda", dest="lambda_", type=float, default=None,
-                        help="quadrature scale lambda (default 1)")
-    common.add_argument("--epsilon", type=float, default=None, help="mode energy (default 1)")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized grids")
     common.add_argument("--out", type=str, default=None, help="output path")
     common.add_argument("--config", type=str, default=None,
-                        help="JSON file with defaults for the flags above")
+                        help="JSON file with defaults for the flags")
+
+    physics = argparse.ArgumentParser(add_help=False)
+    physics.add_argument("--hbar", type=float, default=None, help="Planck constant (default 1)")
+    physics.add_argument("--lambda", dest="lambda_", type=float, default=None,
+                         help="quadrature scale lambda (default 1)")
+    physics.add_argument("--seed", type=int, default=None, help="seed for randomized grids")
 
     fock = argparse.ArgumentParser(add_help=False)
     fock.add_argument("--cutoff", type=int, default=None,
-                      help="per-mode Fock cutoff (default 30)")
+                      help=f"per-mode Fock cutoff (default 30; opo allows at most {_OPO_MAX_CUTOFF})")
     fock.add_argument("--tail-tol", dest="tail_tol", type=float, default=None,
                       help="tail tolerance enforced at the cutoff (default 1e-8)")
 
@@ -375,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=[16, 32, 64, 128, 256, 512])
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("verify", parents=[common], help="run the property-check registry")
+    p = sub.add_parser("verify", parents=[common, physics], help="run the property-check registry")
     p.add_argument("--sabotage", action="store_true",
                    help="corrupt the equivalence map to prove failures are caught")
     p.set_defaults(func=cmd_verify)
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CutoffError, QuadratureError) as exc:
+    except CutoffError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     except OSError as exc:

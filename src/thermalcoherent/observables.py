@@ -39,14 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """hbar, the oscillator scale lam, and the mode quantum epsilon."""
+    """hbar and the oscillator scale lam."""
 
     hbar: float = 1.0
     lam: float = 1.0
-    epsilon: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("hbar", "lam", "epsilon"):
+        for name in ("hbar", "lam"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 

@@ -8,28 +8,25 @@ P, Husimi Q and Wigner W densities are isotropic complex Gaussians
 
 with widths sinh(theta)/sqrt(2), cosh(theta)/sqrt(2) and
 sqrt(cosh(2 theta))/2, and a mean equal to alpha times the kind factor.
-The numeric routes below never assume Gaussianity: the Husimi density
-is a coherent-state sandwich and the Wigner density is a direct
-quadrature of the numerically evaluated characteristic function.
+The numeric routes below never assume Gaussianity and read only the
+entries of the density matrix: the Husimi density is a coherent-state
+sandwich, O(d^2) per point, and the Wigner density is the expectation
+of the displaced parity, a finite Laguerre sum, also O(d^2) per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import CutoffError, DensityMatrix, annihilation_matrix
+from .fockspace import CutoffError, DensityMatrix
 from .observables import mean_amplitude_factor
 from .tfd_states import StateKind, apply_exp_generator, default_cutoff
 
 __all__ = [
     "GaussianQP",
-    "QuadratureError",
-    "QuadratureGrid",
-    "char_signal_numeric",
     "completeness_constant",
     "completeness_defect",
     "p_rep",
@@ -37,12 +34,7 @@ __all__ = [
     "q_func_numeric",
     "wigner",
     "wigner_numeric",
-    "wigner_numeric_many",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Raised when successive quadrature refinements fail to agree."""
 
 
 @dataclass(frozen=True)
@@ -135,134 +127,43 @@ def q_func_numeric(rho: DensityMatrix, mu: complex) -> float:
     return float(val)
 
 
-@lru_cache(maxsize=8)
-def _displacement_eigensystems(d: int):
-    """Shared eigenvalues and the eigenvectors of both displacement directions.
+def wigner_numeric(rho: DensityMatrix, mus):
+    """Wigner density from the matrix elements: (2/pi) Tr[rho D(mu) Pi D(mu)+].
 
-    a+ - a = -i H1 and a+ + a = H2 with H1, H2 Hermitian; both are
-    diagonalized once so D(x + iy) = exp(ixy) exp(x(a+-a)) exp(iy(a++a))
-    can be evaluated on whole grids with small dense products.  H1 =
-    S H2 S+ with S = diag(i^n), so only the real symmetric H2 is
-    diagonalized and H1 shares its eigenvalues, with eigenvectors S V2.
-    """
-    a = annihilation_matrix(d)
-    w, v2 = np.linalg.eigh((a.T + a).real)
-    # exact powers of i: 1j**n drifts by 1e-12 at n ~ 330
-    s = np.array([1.0, 1j, -1.0, -1j])[np.arange(d) % 4]
-    return w, s[:, None] * v2, v2
+    Pi is the parity (-1)^(a+ a).  The displaced parity has the exact
+    elements (Cahill & Glauber 1969; Royer 1977)
 
+        <m+k| D Pi D+ |m> = (-1)^m sqrt(m!/(m+k)!) (2 mu)^k
+                            L_m^(k)(4|mu|^2) exp(-2|mu|^2),
 
-def char_signal_numeric(rho: DensityMatrix, etas: np.ndarray, d_eval: int | None = None) -> np.ndarray:
-    """Tr[rho D(eta)] evaluated exactly on an arbitrary set of points.
-
-    The density matrix is zero-padded to ``d_eval`` levels so that
-    displacements as large as the requested |eta| cannot push its
-    support into the cutoff boundary; the default padding covers the
-    largest displacement in ``etas`` plus the support of rho itself.
-
-    The sum separates over the real and imaginary parts of eta, so it
-    is evaluated on their distinct values: with n_x distinct real and
-    n_y distinct imaginary parts it costs O(n_x d^2 + n_x n_y d) time
-    and n_x n_y memory.  For a tensor grid that is the size of the
-    output; for scattered points it is the square of their count.
-    """
-    etas = np.asarray(etas, dtype=complex)
-    flat = etas.reshape(-1)
-    r_max = float(np.abs(flat).max()) if flat.size else 0.0
-    if d_eval is None:
-        d_eval = max(rho.dim, math.ceil((r_max + math.sqrt(rho.dim) + 4.0) ** 2))
-    if d_eval > 2048:
-        raise CutoffError(f"characteristic function needs cutoff {d_eval} > 2048")
-    padded = np.zeros((d_eval, d_eval), dtype=complex)
-    padded[: rho.dim, : rho.dim] = rho.entries
-    w, v1, v2 = _displacement_eigensystems(d_eval)
-    # Tr[rho V1 E(x) V1+ V2 E(y) V2+] = sum_jk C[j,k] e^{-i x w_j} e^{i y w_k}
-    cross = v1.conj().T @ v2
-    weight = v2.conj().T @ padded @ v1
-    c = cross * weight.T
-    x = flat.real
-    y = flat.imag
-    xs, ix = np.unique(x, return_inverse=True)
-    ys, iy = np.unique(y, return_inverse=True)
-    ex = np.exp(-1j * np.outer(xs, w))
-    ey = np.exp(1j * np.outer(ys, w))
-    vals = ((ex @ c) @ ey.T)[ix, iy]
-    vals *= np.exp(1j * x * y)
-    return vals.reshape(etas.shape)
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Square tensor trapezoid grid for the Wigner quadrature.
-
-    ``half_width`` is the half side of the square in the eta plane;
-    ``points`` the initial per-axis node count (kept odd so the origin
-    is a node); refinement doubles the resolution until two successive
-    values agree within ``tol`` or ``max_refinements`` is exhausted.
-    """
-
-    half_width: float
-    points: int = 65
-    tol: float = 1e-8
-    max_refinements: int = 6
-
-    def __post_init__(self) -> None:
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if self.points < 9:
-            raise ValueError(f"need at least 9 points per axis, got {self.points}")
-        if self.points % 2 == 0:
-            raise ValueError(f"points must be odd, got {self.points}")
-
-    @classmethod
-    def for_theta(cls, theta: float, **kw) -> "QuadratureGrid":
-        """Half-width 6 max(1, sigma_Q sqrt(2)); generous for every theta."""
-        return cls(half_width=6.0 * max(1.0, math.cosh(theta)), **kw)
-
-
-def _wigner_on_grid(rho, mus: np.ndarray, half_width: float, n: int) -> np.ndarray:
-    axis = np.linspace(-half_width, half_width, n)
-    h = axis[1] - axis[0]
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    etas = axis[:, None] + 1j * axis[None, :]
-    chi = char_signal_numeric(rho, etas)
-    out = np.empty(mus.shape, dtype=complex)
-    for i, mu in enumerate(mus.reshape(-1)):
-        # e^{eta* mu - eta mu*} = e^{2i(x Im mu - y Re mu)} splits over axes
-        u = w * np.exp(2j * axis * mu.imag)
-        v = w * np.exp(-2j * axis * mu.real)
-        out.reshape(-1)[i] = u @ chi @ v
-    return out / (math.pi**2)
-
-
-def wigner_numeric_many(rho: DensityMatrix, mus, grid: QuadratureGrid) -> np.ndarray:
-    """Wigner density at many phase-space points from one refined quadrature.
-
-    Integrates (1/pi^2) chi(eta) exp(eta* mu - eta mu*) over the square
-    grid, doubling the resolution until the worst point moves by less
-    than ``grid.tol``.  The characteristic function grid is shared by
-    all requested points, so batching is much cheaper than per-point
-    calls.
+    so the density is a finite sum over the upper triangle of rho with
+    no grid, padding or refinement.  Each diagonal k is advanced in m
+    by the Laguerre recurrence, for all k and all points at once: d
+    array steps, O(d^2) work and d memory per point.  Returns a float
+    for a scalar ``mus`` and an array of its shape otherwise.
     """
     mus = np.asarray(mus, dtype=complex)
-    n = grid.points
-    prev = _wigner_on_grid(rho, mus, grid.half_width, n)
-    for _ in range(grid.max_refinements):
-        n = 2 * n - 1
-        cur = _wigner_on_grid(rho, mus, grid.half_width, n)
-        if np.max(np.abs(cur - prev)) <= grid.tol:
-            return cur.real
-        prev = cur
-    raise QuadratureError(
-        f"quadrature did not settle within {grid.tol:.1e} "
-        f"after {grid.max_refinements} refinements"
-    )
-
-
-def wigner_numeric(rho: DensityMatrix, mu: complex, grid: QuadratureGrid) -> float:
-    """Wigner density at a single point; see :func:`wigner_numeric_many`."""
-    return float(wigner_numeric_many(rho, np.array([complex(mu)]), grid)[0])
+    flat = mus.reshape(-1)
+    x = 4.0 * np.abs(flat) ** 2
+    if x.max(initial=0.0) > 1200.0:
+        raise CutoffError("Wigner point too far out: exp(-2|mu|^2) underflows")
+    d = rho.dim
+    k = np.arange(d)[:, None]
+    # rho[m, m+k] and rho[m+k, m] are conjugates, so off-diagonals count twice
+    upper = rho.entries * (2.0 - np.eye(d))
+    # row m = 0 is (2 mu)^k / sqrt(k!) exp(-2|mu|^2)
+    steps = np.ones((d, flat.size), dtype=complex)
+    steps[1:] = 2.0 * flat / np.sqrt(k[1:])
+    cur = np.cumprod(steps, axis=0) * np.exp(-0.5 * x)
+    prev = np.zeros_like(cur)
+    total = (upper[0] @ cur).real
+    for m in range(1, d):
+        kk = k[: d - m]
+        nxt = (2 * m - 1 + kk - x) * cur[: d - m] + np.sqrt((m - 1) * (m - 1 + kk)) * prev[: d - m]
+        prev, cur = cur[: d - m], -nxt / np.sqrt(m * (m + kk))
+        total += (upper[m, m:] @ cur).real
+    w = (2.0 / math.pi) * total
+    return float(w[0]) if mus.ndim == 0 else w.reshape(mus.shape)
 
 
 def completeness_defect(

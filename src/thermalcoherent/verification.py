@@ -35,13 +35,12 @@ from .observables import (
 )
 from .opo import OpoParams, closed_unitary, signal_density
 from .quasiprob import (
-    QuadratureGrid,
     completeness_defect,
     p_rep,
     q_func,
     q_func_numeric,
     wigner,
-    wigner_numeric_many,
+    wigner_numeric,
 )
 from .tfd_states import (
     DisplacementParams,
@@ -165,7 +164,7 @@ def _check_wigner() -> float:
     rho = reduced_density(state, "ordinary")
     closed = wigner(kind, alpha, theta)
     mus = closed.mean + closed.sigma * np.array([0.0, 1.0, -1.0 + 1.0j])
-    got = wigner_numeric_many(rho, mus, QuadratureGrid.for_theta(theta))
+    got = wigner_numeric(rho, mus)
     return float(np.max(np.abs(got - closed.evaluate(mus))))
 
 

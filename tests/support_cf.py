@@ -7,9 +7,12 @@ ever forming a d**2 x d**2 matrix.  ``cf_moments_fd`` differentiates
 the closed-form characteristic function numerically in multiprecision
 arithmetic, giving a derivative-based route to the same means and
 covariances that the closed-form moment oracle hard-codes.
+``char_signal_expm`` evaluates the single-mode characteristic function
+Tr[rho D(eta)] of a density matrix with a dense matrix exponential.
 """
 
 import numpy as np
+from support_ops import displacement
 
 from thermalcoherent import PhysicalConstants, cf_full, char_function_args
 
@@ -107,3 +110,18 @@ def cf_moments_fd(
                 ) / (4 * step**2)
                 cov[j, k] = cov[k, j] = float(mpmath.re(-djk)) - mean[j] * mean[k]
     return mean, cov
+
+
+def char_signal_expm(rho, etas, pad: int = 40) -> np.ndarray:
+    """Tr[rho D(eta)] with D = expm(eta a+ - eta* a) at cutoff rho.dim + pad.
+
+    The truncated exponential is wrong only near its top levels; the
+    padding keeps those far above the support of rho for |eta| of order
+    a few.
+    """
+    etas = np.asarray(etas, dtype=complex)
+    d = rho.dim + pad
+    padded = np.zeros((d, d), dtype=complex)
+    padded[: rho.dim, : rho.dim] = rho.entries
+    vals = [np.trace(padded @ displacement(d, complex(e))) for e in etas.flat]
+    return np.array(vals).reshape(etas.shape)

@@ -54,15 +54,19 @@ def squeeze_apply(block: np.ndarray, theta: float) -> np.ndarray:
     return out.reshape(block.shape)
 
 
+@lru_cache(maxsize=8)
+def displacement(d: int, amp: complex) -> np.ndarray:
+    """Single-mode displacement exp(amp a+ - amp* a) at cutoff d."""
+    a = annihilation_matrix(d)
+    return expm(amp * a.conj().T - np.conj(amp) * a)
+
+
 def displace_apply(block: np.ndarray, alpha: complex, zeta: complex) -> np.ndarray:
     """Apply the two-mode displacement D(alpha, zeta) to a (d, d, batch) block."""
     d = block.shape[0]
-    a = annihilation_matrix(d)
-    g_ord = expm(complex(alpha) * a.conj().T - np.conj(alpha) * a)
-    g_til = expm(complex(zeta) * a.conj().T - np.conj(zeta) * a)
-    out = np.tensordot(g_ord, block, axes=(1, 0))
-    out = np.tensordot(g_til, out, axes=(1, 1)).transpose(1, 0, 2)
-    return np.ascontiguousarray(out)
+    out = (displacement(d, complex(alpha)) @ block.reshape(d, -1)).reshape(block.shape)
+    # the tilde factor acts on axis 1 of every ordinary-mode row at once
+    return np.matmul(displacement(d, complex(zeta)), out)
 
 
 def corner_block(d_big: int, d_corner: int) -> np.ndarray:
@@ -98,7 +102,10 @@ def product_identity_gaps(
         cur = displace_apply(cur, alpha / n_slices, zeta / n_slices)
         cur = squeeze_apply(cur, theta / n_slices)
         phase, angle, alpha_n, zeta_n = decomposition(alpha, zeta, theta, n_slices, n)
-        rhs = displace_apply(corner_block(d_big, d_corner), alpha_n, zeta_n)
+        # D(alpha_n, zeta_n)|j, k~> = D|j> (x) D~|k>, the corner columns in corner_block order
+        ord_cols = displacement(d_big, complex(alpha_n))[:, :d_corner]
+        til_cols = displacement(d_big, complex(zeta_n))[:, :d_corner]
+        rhs = (ord_cols[:, None, :, None] * til_cols[None, :, None, :]).reshape(d_big, d_big, -1)
         rhs = squeeze_apply(rhs, angle) * np.exp(1j * phase)
         gaps.append((n, float(np.linalg.norm(cur - rhs))))
     return gaps

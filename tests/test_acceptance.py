@@ -37,12 +37,11 @@ from thermalcoherent import (
     sliced_unitary,
     uncertainty_product,
     wigner,
-    wigner_numeric_many,
+    wigner_numeric,
     xi_eigenvalue,
     xi_residual,
 )
 from thermalcoherent.cli import main
-from thermalcoherent.quasiprob import QuadratureGrid
 
 SUITE_START = time.perf_counter()
 SUITE_BUDGET_S = 300.0
@@ -272,7 +271,6 @@ def test_10_quasiprobability_agreement():
     alpha, theta = 1.0, 0.5
     worst_q = 0.0
     worst_w = 0.0
-    grid = QuadratureGrid.for_theta(theta)
     for kind in KINDS:
         state = build_state(
             kind, DisplacementParams.invariant(alpha), ThermalParams.from_theta(theta),
@@ -288,7 +286,7 @@ def test_10_quasiprobability_agreement():
         closed_w = wigner(kind, alpha, theta)
         span_w = np.linspace(-4.0, 4.0, 5)
         mus = (closed_w.mean + closed_w.sigma * (span_w[:, None] + 1j * span_w[None, :])).ravel()
-        got = wigner_numeric_many(rho, mus, grid)
+        got = wigner_numeric(rho, mus)
         worst_w = max(worst_w, float(np.abs(got - closed_w.evaluate(mus)).max()))
     worst_width = 0.0
     for t in (0.1, 0.4, 0.9, 1.5):

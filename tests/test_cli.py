@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def test_verify_json_schema_and_exit(tmp_path, capsys):
     assert doc["all_passed"] is True
     assert doc["sabotage"] is False
     assert doc["seed"] == 0
-    assert sorted(doc["constants"]) == ["epsilon", "hbar", "lambda"]
+    assert sorted(doc["constants"]) == ["hbar", "lambda"]
     assert len(doc["checks"]) == 10
     for check in doc["checks"]:
         assert sorted(check) == CHECK_KEYS
@@ -205,6 +206,10 @@ def test_config_file_rejections(tmp_path, capsys):
     bad_key.write_text(json.dumps({"cutof": 12}))
     assert main(["fig1", "--steps", "3", "--config", str(bad_key)]) == 2
     assert "unknown config keys: cutof" in capsys.readouterr().err
+    old_key = tmp_path / "epsilon.json"
+    old_key.write_text(json.dumps({"epsilon": 1.0}))
+    assert main(["verify", "--config", str(old_key)]) == 2
+    assert "unknown config keys: epsilon" in capsys.readouterr().err
     not_json = tmp_path / "broken.json"
     not_json.write_text("{not json")
     assert main(["fig1", "--steps", "3", "--config", str(not_json)]) == 2
@@ -227,11 +232,29 @@ def test_bad_flag_value_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--cutoff", "5"], ["fig1", "--cutoff", "2"], ["fig2", "--tail-tol", "1e-9"]],
+    [
+        ["verify", "--cutoff", "5"],
+        ["fig1", "--cutoff", "2"],
+        ["fig2", "--tail-tol", "1e-9"],
+        ["fig1", "--hbar", "2"],
+        ["opo", "--seed", "3"],
+        ["converge", "--lambda", "2"],
+        ["verify", "--epsilon", "1"],
+    ],
 )
 def test_cutoff_flags_rejected_where_unused(argv, capsys):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_opo_cutoff_bound_exits_2_at_once(tmp_path, capsys):
+    """opo refuses a cutoff whose dense d^2 x d^2 unitaries would not fit."""
+    out = tmp_path / "opo.csv"
+    start = time.perf_counter()
+    assert main(["opo", "--cutoff", "49", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds 48" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):

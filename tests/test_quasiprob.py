@@ -6,18 +6,16 @@ import sys
 
 import numpy as np
 import pytest
+import support_cf
 
 from thermalcoherent import (
     CutoffError,
     DensityMatrix,
     DisplacementParams,
     GaussianQP,
-    QuadratureError,
-    QuadratureGrid,
     StateKind,
     ThermalParams,
     build_state,
-    char_signal_numeric,
     chi_signal,
     coherent_vector,
     completeness_constant,
@@ -29,7 +27,6 @@ from thermalcoherent import (
     reduced_density,
     wigner,
     wigner_numeric,
-    wigner_numeric_many,
 )
 
 GRID_TOL = 1e-6
@@ -132,49 +129,50 @@ def test_q_func_numeric_matches_closed_form():
         )
 
 
-def test_wigner_numeric_on_vacuum():
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["vacuum", "fock1", "fock2"])
+def test_wigner_numeric_on_vacuum(k):
+    """Fock state |k>: (2/pi) (-1)^k L_k(4|mu|^2) exp(-2|mu|^2), negative at 0 for odd k."""
     d = 20
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    rho = DensityMatrix.from_array(vac)
-    grid = QuadratureGrid.for_theta(0.0)
-    for mu in (0.0, 0.5, 0.3 - 0.8j):
-        assert wigner_numeric(rho, mu, grid) == pytest.approx(
-            2.0 / math.pi * math.exp(-2.0 * abs(mu) ** 2), abs=1e-8
-        )
+    fock = np.zeros((d, d), dtype=complex)
+    fock[k, k] = 1.0
+    rho = DensityMatrix.from_array(fock)
+    laguerre_k = [0.0] * k + [1.0]
+    for mu in (0.0, 0.5, 0.3 - 0.8j, 1.1 + 0.4j):
+        x = 4.0 * abs(mu) ** 2
+        lag = np.polynomial.laguerre.lagval(x, laguerre_k)
+        expected = 2.0 / math.pi * (-1) ** k * lag * math.exp(-0.5 * x)
+        assert wigner_numeric(rho, mu) == pytest.approx(expected, abs=1e-12)
 
 
 def test_wigner_numeric_matches_closed_form():
     alpha, theta = 0.8, 0.4
     rho = _reduced_round(alpha, theta)
     closed = wigner(StateKind.ROUND, alpha, theta)
-    grid = QuadratureGrid.for_theta(theta)
     mus = closed.mean + np.array([0.0, 1.0, -1.0j, 2.0 + 2.0j]) * closed.sigma
-    vals = wigner_numeric_many(rho, mus, grid)
+    vals = wigner_numeric(rho, mus)
     assert np.abs(vals - closed.evaluate(mus)).max() < GRID_TOL
-    # the scalar wrapper agrees with the batch
-    assert wigner_numeric(rho, mus[1], grid) == pytest.approx(vals[1], abs=1e-12)
+    # a scalar point gives a float equal to the batch entry
+    one = wigner_numeric(rho, mus[1])
+    assert isinstance(one, float)
+    assert one == pytest.approx(vals[1], abs=1e-12)
+    assert wigner_numeric(rho, mus.reshape(2, 2)).shape == (2, 2)
+    # far enough out, exp(-2|mu|^2) underflows and the point is refused
+    with pytest.raises(CutoffError):
+        wigner_numeric(rho, 20.0)
 
 
-def test_wigner_refinement_exhaustion_raises():
-    rho = _reduced_round(0.5, 0.3)
-    grid = QuadratureGrid(half_width=6.0, points=9, tol=1e-30, max_refinements=0)
-    with pytest.raises(QuadratureError):
-        wigner_numeric(rho, 0.0, grid)
-
-
-def test_quadrature_grid_validation():
-    with pytest.raises(ValueError):
-        QuadratureGrid(half_width=0.0)
-    with pytest.raises(ValueError):
-        QuadratureGrid(half_width=5.0, points=8)
-    with pytest.raises(ValueError):
-        QuadratureGrid(half_width=5.0, points=7)
-    assert QuadratureGrid.for_theta(1.0).half_width == pytest.approx(
-        6.0 * math.cosh(1.0)
+@pytest.mark.parametrize("kind", KINDS)
+def test_wigner_numeric_rounding_level(kind):
+    """At tail_tol 1e-16 the parity sum meets the closed form to rounding."""
+    alpha, theta = 0.6 + 0.3j, 0.5
+    state = build_state(
+        kind, DisplacementParams.invariant(alpha), ThermalParams.from_theta(theta), tail_tol=1e-16
     )
-    assert QuadratureGrid.for_theta(0.0).half_width == 6.0
-    assert QuadratureGrid.for_theta(0.1).half_width > 6.0
+    rho = reduced_density(state, "ordinary")
+    closed = wigner(kind, alpha, theta)
+    span = np.linspace(-3.0, 3.0, 5)
+    mus = closed.mean + closed.sigma * (span[:, None] + 1j * span[None, :])
+    assert np.abs(wigner_numeric(rho, mus) - closed.evaluate(mus)).max() < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -186,39 +184,30 @@ def test_quadrature_grid_validation():
     ids=["scattered", "grid-7x5"],
 )
 def test_char_signal_numeric_matches_closed_form(etas):
+    """The closed-form chi_signal against Tr[rho D(eta)] with a dense exponential."""
     alpha, theta = 0.7 + 0.2j, 0.45
     rho = _reduced_round(alpha, theta, tail_tol=1e-13)
-    vals = char_signal_numeric(rho, etas)
+    vals = support_cf.char_signal_expm(rho, etas)
     assert vals.shape == etas.shape
     expected = np.vectorize(lambda e: chi_signal(alpha, theta, e))(etas)
     assert np.abs(vals - expected).max() < 1e-9
     assert vals.flat[np.argmin(np.abs(etas))] == pytest.approx(1.0, abs=1e-12)
-    # points sharing coordinates give what each point gives on its own
-    joint = char_signal_numeric(rho, etas, d_eval=120)
-    alone = [char_signal_numeric(rho, np.array([e]), d_eval=120)[0] for e in etas.flat]
-    assert np.abs(joint.reshape(-1) - alone).max() < 1e-12
-
-
-def test_char_signal_numeric_rejects_oversized_padding():
-    rho = _reduced_round(0.5, 0.3)
-    with pytest.raises(CutoffError):
-        char_signal_numeric(rho, np.array([60.0 + 60.0j]))
 
 
 def test_wigner_quadrature_peak_memory():
-    """The verify Wigner quadrature never holds (grid points) x d_eval arrays.
+    """The verify Wigner check stays small in a fresh interpreter.
 
     The peak is read from VmHWM, which starts afresh at exec; the
     child's ru_maxrss would still carry the test process's own peak.
     """
     script = (
         "import numpy as np\n"
-        "from thermalcoherent import (DisplacementParams, QuadratureGrid, StateKind,\n"
-        "    ThermalParams, build_state, reduced_density, wigner_numeric_many)\n"
+        "from thermalcoherent import (DisplacementParams, StateKind,\n"
+        "    ThermalParams, build_state, reduced_density, wigner_numeric)\n"
         "state = build_state(StateKind.DOUBLE, DisplacementParams.invariant(0.8),\n"
         "                    ThermalParams.from_theta(0.4), d=25)\n"
         "rho = reduced_density(state, 'ordinary')\n"
-        "wigner_numeric_many(rho, np.array([0.0, 1.0, -1.0 + 1.0j]), QuadratureGrid.for_theta(0.4))\n"
+        "wigner_numeric(rho, np.array([0.0, 1.0, -1.0 + 1.0j]))\n"
         "with open('/proc/self/status') as fh:\n"
         "    print(next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')) / 1024.0)\n"
     )
