@@ -37,7 +37,6 @@ from .tfd_states import (
     improper_eigenvector,
     squeeze_U,
     theta_of_beta,
-    xi_eigenvalue,
     xi_operator,
     xi_residual,
 )
@@ -48,8 +47,11 @@ from .equivalence import (
     finite_product_decomposition,
     map_double_to_round,
     map_trotter_to_round,
+    mode_means,
     phase_aligned_distance,
+    round_form,
     series_limits,
+    xi_eigenvalue,
 )
 from .observables import (
     PhysicalConstants,
@@ -58,7 +60,6 @@ from .observables import (
     char_function_args,
     chi_signal,
     mean_amplitude_factor,
-    mean_quadratures,
     quadrature_moments_numeric,
     quadrature_operators,
     uncertainty_product,
@@ -76,7 +77,6 @@ from .quasiprob import (
 from .gaussian_oracle import (
     GaussianMoments,
     ReducedGaussian,
-    mode_means,
     moments_from_cf,
     reduce_to_signal,
     reduced_to_qp,

@@ -1,14 +1,17 @@
 """Hyperbolic quotients that are singular or cancellation-prone at zero.
 
 All maps between the three state conventions involve the quotients
-sinh(t)/t, (cosh(t) - 1)/t and (sinh(t) - t)/t**2.  Direct evaluation
-loses digits for small |t|, so each helper switches to a sixth-order
-Taylor expansion below ``SERIES_CUTOFF``.
+sinh(t)/t, (cosh(t) - 1)/t and (sinh(t) - t)/t**2.  Each is evaluated
+in a form that keeps a few ulps of relative accuracy for every t.
 """
 
 import math
 
 SERIES_CUTOFF = 1e-4
+# (sinh(t) - t)/t**2 = sum_{k>=1} t**(2k-1)/(2k+1)!; ten terms reach
+# rounding for |t| < 2, where the direct form has also stopped cancelling
+_SINHM_SWITCH = 2.0
+_SINHM_COEFFS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(10, 0, -1))
 
 
 def sinhc(t: float) -> float:
@@ -22,20 +25,11 @@ def sinhc(t: float) -> float:
 def coshm1_over(t: float) -> float:
     """(cosh(t) - 1)/t, continuous at t = 0.
 
-    Written through expm1 so the subtraction never cancels:
-    cosh(t) - 1 == (expm1(t) + expm1(-t)) / 2.
+    Written as 2 sinh(t/2)**2 / t, which has no subtraction at all.
     """
-    if abs(t) < SERIES_CUTOFF:
-        t2 = t * t
-        return t * (0.5 + t2 / 24.0 + t2 * t2 / 720.0)
-    return 0.5 * (math.expm1(t) + math.expm1(-t)) / t
-
-
-def expm1_over(t: float) -> float:
-    """(exp(t) - 1)/t, continuous at t = 0."""
-    if abs(t) < SERIES_CUTOFF:
-        return 1.0 + t / 2.0 + t * t / 6.0 + t * t * t / 24.0
-    return math.expm1(t) / t
+    if t == 0.0:
+        return 0.0
+    return 2.0 * math.sinh(0.5 * t) ** 2 / t
 
 
 def sinhm_over_sq(t: float) -> float:
@@ -45,7 +39,10 @@ def sinhm_over_sq(t: float) -> float:
     coefficient of the accumulated commutator phase in the sliced
     product of squeeze and displacement factors.
     """
-    if abs(t) < SERIES_CUTOFF:
+    if abs(t) < _SINHM_SWITCH:
         t2 = t * t
-        return t * (1.0 / 6.0 + t2 / 120.0 + t2 * t2 / 5040.0)
+        acc = 0.0
+        for c in _SINHM_COEFFS:
+            acc = acc * t2 + c
+        return t * acc
     return (math.sinh(t) - t) / (t * t)

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _hyper
-from .equivalence import phase_aligned_distance
+from .equivalence import mode_means, phase_aligned_distance
 from .fockspace import CutoffError
 from .observables import PhysicalConstants, mean_amplitude_factor
 from .opo import OpoParams, closed_unitary, signal_density, sliced_unitary
@@ -295,7 +294,7 @@ def cmd_opo(args: argparse.Namespace, rc: RunConfig) -> int:
     # runs before the sliced product is held
     closed = closed_unitary(op, d)
     distance = float(np.linalg.norm(sliced_unitary(op, d) - closed, 2))
-    mean_amp = op.gamma_s * _hyper.expm1_over(op.theta)
+    mean_amp, _ = mode_means(StateKind.TROTTER, op.gamma_s, op.gamma_i, op.theta)
     metrics = {
         "closed_sliced_distance": distance,
         "cutoff": d,

@@ -4,6 +4,9 @@ Both alternative orderings reduce to the squeeze-after-displace (ROUND)
 form with modified amplitudes.  The interleaved-slice (TROTTER) state in
 addition picks up a global phase proportional to Im(alpha*zeta), which
 vanishes identically on the tilde-invariant slice zeta = conj(alpha).
+Every state is therefore exp(i phase) U(theta) D(alpha', zeta')|0,0~>,
+and :func:`round_form` is the one source of that record: the xi
+eigenvalue and the mode means are read off it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _hyper
-from .tfd_states import DisplacementParams, StateKind, build_state
+from .tfd_states import DisplacementParams, StateKind, ThermalParams, build_state
 
 __all__ = [
     "EquivalenceResult",
@@ -23,8 +26,11 @@ __all__ = [
     "finite_product_decomposition",
     "map_double_to_round",
     "map_trotter_to_round",
+    "mode_means",
     "phase_aligned_distance",
+    "round_form",
     "series_limits",
+    "xi_eigenvalue",
 ]
 
 
@@ -55,13 +61,14 @@ def map_trotter_to_round(alpha: complex, zeta: complex, theta: float) -> Equival
     the same with alpha and zeta exchanged; the global phase is
     -i (sinh(theta) - theta)/theta**2 * (alpha zeta - conj(alpha zeta)),
     which is real because the bracket is purely imaginary.  At theta = 0
-    the map is the identity with zero phase.
+    the map is the identity with zero phase.  The map is analytic in
+    theta, so a negative angle (a pump of the opposite sign) is accepted.
     """
     alpha = complex(alpha)
     zeta = complex(zeta)
     theta = float(theta)
-    if theta < 0.0 or not math.isfinite(theta):
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     sc = _hyper.sinhc(theta)
     cm = _hyper.coshm1_over(theta)
     alpha_round = alpha * sc - zeta.conjugate() * cm
@@ -89,6 +96,53 @@ def map_double_to_round(alpha: complex, zeta: complex, theta: float) -> Equivale
         alpha_round=alpha * ch - zeta.conjugate() * sh,
         zeta_round=zeta * ch - alpha.conjugate() * sh,
         phase_theta=0.0,
+    )
+
+
+def round_form(kind: StateKind, alpha: complex, zeta: complex, theta: float) -> EquivalenceResult:
+    """ROUND-form amplitudes and phase of the state of the given kind.
+
+    ROUND is the identity with zero phase; DOUBLE and TROTTER go
+    through their maps.
+    """
+    if kind is StateKind.ROUND:
+        return EquivalenceResult(alpha_round=complex(alpha), zeta_round=complex(zeta), phase_theta=0.0)
+    if kind is StateKind.DOUBLE:
+        return map_double_to_round(alpha, zeta, theta)
+    if kind is StateKind.TROTTER:
+        return map_trotter_to_round(alpha, zeta, theta)
+    raise ValueError(f"unknown state kind {kind!r}")
+
+
+def xi_eigenvalue(kind: StateKind, dp: DisplacementParams, tp: ThermalParams) -> complex:
+    """Eigenvalue of xi on the thermal coherent state of the given kind.
+
+    xi = U(theta) a U(theta)+, so on exp(i phase) U(theta) D(alpha', zeta')|0,0~>
+    it acts as a does on the coherent factor: the eigenvalue is alpha'.
+    """
+    return round_form(kind, dp.alpha, dp.zeta, tp.theta).alpha_round
+
+
+def mode_means(
+    kind: StateKind, alpha: complex, zeta: complex, theta: float
+) -> tuple[complex, complex]:
+    """(<a>, <a~>) for the given kind at general (alpha, zeta).
+
+    The displace-after-squeeze state keeps the amplitudes unchanged;
+    every other kind mixes its ROUND-form amplitudes through the
+    Bogoliubov coefficients, <a> = alpha' cosh(theta) + zeta'* sinh(theta)
+    and its mirror.
+    """
+    alpha = complex(alpha)
+    zeta = complex(zeta)
+    if kind is StateKind.DOUBLE:
+        return alpha, zeta
+    rf = round_form(kind, alpha, zeta, theta)
+    ch = math.cosh(theta)
+    sh = math.sinh(theta)
+    return (
+        rf.alpha_round * ch + rf.zeta_round.conjugate() * sh,
+        rf.zeta_round * ch + rf.alpha_round.conjugate() * sh,
     )
 
 
@@ -177,7 +231,8 @@ def phase_aligned_distance(ref: np.ndarray, cand: np.ndarray) -> float:
     return float(np.linalg.norm(ref - cand))
 
 
-def _state_distance(kind, dp, tp, result: EquivalenceResult, d, tail_tol) -> EquivalenceResult:
+def _state_distance(kind, dp, tp, d, tail_tol) -> EquivalenceResult:
+    result = round_form(kind, dp.alpha, dp.zeta, tp.theta)
     state = build_state(kind, dp, tp, d=d, tail_tol=tail_tol)
     mapped = build_state(
         StateKind.ROUND,
@@ -203,11 +258,9 @@ def check_trotter_vs_round(dp, tp, d=None, tail_tol: float = 1e-20) -> Equivalen
     the raw vectors exp(i Theta) |round'> against |trotter> without any
     free phase alignment.
     """
-    result = map_trotter_to_round(dp.alpha, dp.zeta, tp.theta)
-    return _state_distance(StateKind.TROTTER, dp, tp, result, d, tail_tol)
+    return _state_distance(StateKind.TROTTER, dp, tp, d, tail_tol)
 
 
 def check_double_vs_round(dp, tp, d=None, tail_tol: float = 1e-20) -> EquivalenceResult:
     """Build both sides of the DOUBLE -> ROUND identity and measure the gap."""
-    result = map_double_to_round(dp.alpha, dp.zeta, tp.theta)
-    return _state_distance(StateKind.DOUBLE, dp, tp, result, d, tail_tol)
+    return _state_distance(StateKind.DOUBLE, dp, tp, d, tail_tol)

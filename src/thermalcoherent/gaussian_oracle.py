@@ -3,7 +3,8 @@
 Every thermal coherent state is Gaussian: a mean vector and a 4x4
 covariance matrix over (Q, P, Q~, P~) determine it completely.  The
 covariance is kind- and displacement-independent; only the means move.
-This module hard-codes both, which gives the rest of the package an
+This module hard-codes the covariance and takes the means from
+:func:`equivalence.mode_means`, which gives the rest of the package an
 independent oracle to test the Fock-space numerics against.
 
 Because the tilde momentum is defined with a flipped sign, the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import map_trotter_to_round
+from .equivalence import mode_means
 from .observables import PhysicalConstants
 from .quasiprob import GaussianQP
 from .tfd_states import StateKind
@@ -27,7 +28,6 @@ from .tfd_states import StateKind
 __all__ = [
     "GaussianMoments",
     "ReducedGaussian",
-    "mode_means",
     "moments_from_cf",
     "reduce_to_signal",
     "reduced_to_qp",
@@ -94,33 +94,6 @@ class ReducedGaussian:
     def purity(self) -> float:
         """Tr rho^2 = (hbar/2)/sqrt(det cov); equals 1/cosh(2 theta) here."""
         return 0.5 * self.hbar / math.sqrt(float(np.linalg.det(self.cov)))
-
-
-def mode_means(
-    kind: StateKind, alpha: complex, zeta: complex, theta: float
-) -> tuple[complex, complex]:
-    """(<a>, <a~>) for the given kind at general (alpha, zeta).
-
-    The squeeze-after-displace state mixes the amplitudes through the
-    Bogoliubov coefficients; the displace-after-squeeze state keeps
-    them unchanged; the interleaved-limit state mixes the amplitudes
-    already mapped to their squeeze-after-displace equivalents.
-    """
-    alpha = complex(alpha)
-    zeta = complex(zeta)
-    ch = math.cosh(theta)
-    sh = math.sinh(theta)
-    if kind is StateKind.DOUBLE:
-        return alpha, zeta
-    if kind is StateKind.TROTTER:
-        res = map_trotter_to_round(alpha, zeta, theta)
-        alpha, zeta = res.alpha_round, res.zeta_round
-    elif kind is not StateKind.ROUND:
-        raise ValueError(f"unknown state kind {kind!r}")
-    return (
-        alpha * ch + zeta.conjugate() * sh,
-        zeta * ch + alpha.conjugate() * sh,
-    )
 
 
 def moments_from_cf(

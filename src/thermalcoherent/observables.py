@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _hyper
+from .equivalence import mode_means
 from .fockspace import TwoModeState, annihilation_matrix, creation_matrix, embed
 from .tfd_states import StateKind
 
@@ -31,7 +31,6 @@ __all__ = [
     "char_function_args",
     "chi_signal",
     "mean_amplitude_factor",
-    "mean_quadratures",
     "quadrature_operators",
     "uncertainty_product",
 ]
@@ -170,35 +169,7 @@ def mean_amplitude_factor(kind: StateKind, theta: float) -> float:
     """
     if theta < 0.0 or not math.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    if kind is StateKind.ROUND:
-        return math.exp(theta)
-    if kind is StateKind.TROTTER:
-        return _hyper.expm1_over(theta)
-    if kind is StateKind.DOUBLE:
-        return 1.0
-    raise ValueError(f"unknown state kind {kind!r}")
-
-
-def mean_quadratures(
-    kind: StateKind,
-    alpha: complex,
-    theta: float,
-    pc: PhysicalConstants = PhysicalConstants(),
-) -> QuadratureMoments:
-    """Ordinary-mode quadrature moments on the tilde-invariant slice.
-
-    The means scale alpha by the kind factor; the variances are kind-
-    and displacement-independent, (Delta Q)^2 = (hbar/2 lam) cosh(2 theta)
-    and (Delta P)^2 = (lam hbar/2) cosh(2 theta).
-    """
-    amp = mean_amplitude_factor(kind, theta) * complex(alpha)
-    c2 = math.cosh(2.0 * theta)
-    return QuadratureMoments(
-        mean_q=2.0 * pc.q_scale * amp.real,
-        mean_p=2.0 * pc.p_scale * amp.imag,
-        var_q=pc.q_scale**2 * c2,
-        var_p=pc.p_scale**2 * c2,
-    )
+    return mode_means(kind, 1.0, 1.0, theta)[0].real
 
 
 def uncertainty_product(theta: float, pc: PhysicalConstants = PhysicalConstants()) -> float:

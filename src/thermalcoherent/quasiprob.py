@@ -166,39 +166,48 @@ def wigner_numeric(rho: DensityMatrix, mus):
     return float(w[0]) if mus.ndim == 0 else w.reshape(mus.shape)
 
 
+# 8 nodes integrate polynomials of degree <= 15 exactly: levels up to 16
+_RADIAL_NODES = 8
+
+
 def completeness_defect(
     theta: float,
     d: int,
-    radius: float = 6.0,
-    n_radial: int = 96,
     n_angular: int = 64,
     levels: int = 6,
 ) -> float:
     """Distance from the weighted state integral to the identity.
 
     Integrates the reduced squeeze-after-displace projectors over the
-    tilde-invariant disk |alpha| <= radius with Gauss-Legendre nodes in
-    radius and a periodic trapezoid in angle, multiplies by the
-    completeness weight, and reports the largest deviation from the
-    identity on the lowest ``levels`` Fock levels in operator 2-norm,
-    inside the d-level window the accumulator keeps.
+    tilde-invariant plane, multiplies by the completeness weight, and
+    reports the largest deviation from the identity on the lowest
+    ``levels`` Fock levels in operator 2-norm, inside the d-level window
+    the accumulator keeps.
 
-    Each radius sample is built at its own internally adequate cutoff:
-    a state at |alpha| = r carries roughly (r e^theta)^2 photons, and
-    squeezing it inside a window sized for the identity block alone
-    unitarily reflects escaping amplitude back into low levels, which
-    showed up as a percent-level excess on the block diagonal.  The
-    angular samples enter through the exact rotation relation
-    rho(r e^{i phi})[n, p] = e^{i phi (n - p)} rho(r)[n, p], so one
-    squeeze application per radius covers the whole ring.
+    At alpha = r the reduced state is displaced thermal with mean
+    r e^theta and occupation sinh(theta)**2, so each of its diagonal
+    elements is a polynomial in u = r**2 of degree at most the level,
+    times exp(-c u) with c = e^(2 theta)/cosh(theta)**2.  Gauss-Laguerre
+    nodes in u for that weight integrate the radial direction exactly,
+    with no radius cutoff.  The angular samples enter through the exact
+    rotation relation rho(r e^{i phi})[n, p] = e^{i phi (n - p)} rho(r)[n, p],
+    whose periodic trapezoid removes the off-diagonals, so one squeeze
+    application per node covers the whole ring.
+
+    Each node is built at its own internally adequate cutoff: a state
+    at |alpha| = r carries roughly (r e^theta)^2 photons, and squeezing
+    it inside a window sized for the identity block alone unitarily
+    reflects escaping amplitude back into low levels.
     """
     if theta < 0.0 or not math.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
     if not 1 <= levels <= d:
         raise ValueError(f"need 1 <= levels <= d, got levels={levels}, d={d}")
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
-    r = 0.5 * radius * (nodes + 1.0)
-    wr = 0.5 * radius * weights * r  # includes the polar Jacobian
+    c = math.exp(2.0 * theta) / math.cosh(theta) ** 2
+    nodes, weights = np.polynomial.laguerre.laggauss(_RADIAL_NODES)
+    r = np.sqrt(nodes / c)
+    # d^2 alpha = du dphi / 2; exp(nodes) undoes the weight the rule assumes
+    wr = 0.5 * weights * np.exp(nodes) / c
     phis = np.arange(n_angular) * (2.0 * math.pi / n_angular)
     wphi = 2.0 * math.pi / n_angular
     n_idx = np.arange(d)

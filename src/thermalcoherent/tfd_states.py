@@ -21,7 +21,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _hyper
 from .fockspace import (
     CutoffError,
     TwoModeState,
@@ -46,7 +45,6 @@ __all__ = [
     "improper_eigenvector",
     "squeeze_U",
     "theta_of_beta",
-    "xi_eigenvalue",
     "xi_operator",
 ]
 
@@ -410,18 +408,6 @@ def xi_operator(tp: ThermalParams, d: int) -> np.ndarray:
     a = embed(annihilation_matrix(d), "ordinary")
     atd = embed(creation_matrix(d), "tilde")
     return math.cosh(tp.theta) * a - math.sinh(tp.theta) * atd
-
-
-def xi_eigenvalue(kind: StateKind, dp: DisplacementParams, tp: ThermalParams) -> complex:
-    """Eigenvalue of xi on the thermal coherent state of the given kind."""
-    theta = tp.theta
-    if kind is StateKind.ROUND:
-        return dp.alpha
-    if kind is StateKind.DOUBLE:
-        return dp.alpha * math.cosh(theta) - dp.zeta.conjugate() * math.sinh(theta)
-    if kind is StateKind.TROTTER:
-        return dp.alpha * _hyper.sinhc(theta) - dp.zeta.conjugate() * _hyper.coshm1_over(theta)
-    raise ValueError(f"unknown state kind {kind!r}")
 
 
 def xi_residual(state: TwoModeState, tp: ThermalParams, eigenvalue: complex) -> float:

@@ -21,10 +21,11 @@ import numpy as np
 
 from . import _hyper
 from .equivalence import (
-    EquivalenceResult,
-    _state_distance,
     check_double_vs_round,
+    check_trotter_vs_round,
     map_trotter_to_round,
+    mode_means,
+    xi_eigenvalue,
 )
 from .fockspace import CutoffError, reduced_density
 from .gaussian_oracle import moments_from_cf, reduce_to_signal
@@ -47,7 +48,6 @@ from .tfd_states import (
     StateKind,
     ThermalParams,
     build_state,
-    xi_eigenvalue,
     xi_residual,
 )
 
@@ -76,42 +76,41 @@ def _equiv_grid(rng: np.random.Generator):
                 yield DisplacementParams.invariant(alpha), ThermalParams.from_theta(theta)
 
 
-def _check_trotter_equiv(rng: np.random.Generator, sabotage: bool) -> float:
+def _worst_equiv(rng: np.random.Generator, check) -> float:
     worst = 0.0
     for dp, tp in _equiv_grid(rng):
-        res = map_trotter_to_round(dp.alpha, dp.zeta, tp.theta)
-        if sabotage:
-            # the corrupted round state need not fit the matched cutoff,
-            # so it is built without tail enforcement and the distance
-            # alone does the failing
-            bad = res.alpha_round + 2.0 * dp.zeta.conjugate() * _hyper.coshm1_over(tp.theta)
-            state = build_state(StateKind.TROTTER, dp, tp, tail_tol=1e-12)
-            mapped = build_state(
-                StateKind.ROUND,
-                DisplacementParams(alpha=bad, zeta=res.zeta_round),
-                tp,
-                d=state.dim_per_mode,
-                tail_tol=None,
-            )
-            worst = max(worst, float(np.linalg.norm(state.amplitudes - mapped.amplitudes)))
-            continue
         try:
-            res = _state_distance(StateKind.TROTTER, dp, tp, res, None, 1e-20)
+            res = check(dp, tp)
         except CutoffError:
             return math.inf
         worst = max(worst, res.distance, abs(res.phase_theta))
+    return worst
+
+
+def _check_trotter_equiv(rng: np.random.Generator, sabotage: bool) -> float:
+    if not sabotage:
+        return _worst_equiv(rng, check_trotter_vs_round)
+    worst = 0.0
+    for dp, tp in _equiv_grid(rng):
+        res = map_trotter_to_round(dp.alpha, dp.zeta, tp.theta)
+        # the corrupted round state need not fit the matched cutoff,
+        # so it is built without tail enforcement and the distance
+        # alone does the failing
+        bad = res.alpha_round + 2.0 * dp.zeta.conjugate() * _hyper.coshm1_over(tp.theta)
+        state = build_state(StateKind.TROTTER, dp, tp, tail_tol=1e-12)
+        mapped = build_state(
+            StateKind.ROUND,
+            DisplacementParams(alpha=bad, zeta=res.zeta_round),
+            tp,
+            d=state.dim_per_mode,
+            tail_tol=None,
+        )
+        worst = max(worst, float(np.linalg.norm(state.amplitudes - mapped.amplitudes)))
     return worst
 
 
 def _check_double_equiv(rng: np.random.Generator) -> float:
-    worst = 0.0
-    for dp, tp in _equiv_grid(rng):
-        try:
-            res = check_double_vs_round(dp, tp)
-        except CutoffError:
-            return math.inf
-        worst = max(worst, res.distance, abs(res.phase_theta))
-    return worst
+    return _worst_equiv(rng, check_double_vs_round)
 
 
 def _check_eigen_residual(rng: np.random.Generator) -> float:
@@ -201,7 +200,7 @@ def _check_opo_moments() -> float:
     rho = signal_density(op, d=30)
     gm = moments_from_cf(StateKind.TROTTER, op.gamma_s, op.gamma_i, op.theta)
     purity_err = abs(rho.purity() - reduce_to_signal(gm).purity())
-    mean_amp = op.gamma_s * _hyper.expm1_over(op.theta)
+    mean_amp, _ = mode_means(StateKind.TROTTER, op.gamma_s, op.gamma_i, op.theta)
     photon_err = abs(rho.mean_photon() - (abs(mean_amp) ** 2 + math.sinh(op.theta) ** 2))
     return max(purity_err, photon_err)
 

@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from thermalcoherent import StateKind, mean_amplitude_factor, p_rep
+from thermalcoherent import (
+    OpoParams,
+    StateKind,
+    annihilation_matrix,
+    mean_amplitude_factor,
+    p_rep,
+    signal_density,
+)
 from thermalcoherent.cli import main
 
 VERIFY_KEYS = ["all_passed", "checks", "constants", "sabotage", "seed"]
@@ -178,6 +185,36 @@ def test_opo_outputs_csv_and_sidecar(tmp_path):
     assert doc["purity"] == pytest.approx(doc["purity_expected"], abs=1e-6)
     assert doc["mean_photon"] == pytest.approx(doc["mean_photon_expected"], abs=1e-6)
     assert 0.0 < doc["closed_sliced_distance"] < 0.5
+
+
+OPO_REL_TOL = 1e-6
+
+
+@pytest.mark.parametrize(
+    "drives",
+    [
+        {"g_i": 0.3},
+        {"g_s": 0.5 + 0.4j},
+        {"chi2": -1.0, "g_i": 0.2 - 0.5j},
+    ],
+)
+def test_opo_expected_mean_off_invariant_slice(tmp_path, drives):
+    """mean_photon_expected and the Q-grid centre hold for any drives and either sign of chi2.
+
+    The grid centre is checked against <a> = Tr(rho a) of the signal state.
+    """
+    op = OpoParams(**{"chi2": 1.0, "g_s": 0.8, "g_i": 0.8, "t1": 0.4, "t2": 1.0, **drives})
+    flags = ["--chi2", repr(op.chi2), "--g-s", str(op.g_s), "--g-i", str(op.g_i)]
+    out = tmp_path / "opo.csv"
+    assert main(["opo", *flags, "--slices", "2", "--q-grid", "3", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "opo.json").read_text())
+    assert doc["theta"] == pytest.approx(op.theta)
+    expected = doc["mean_photon_expected"]
+    assert abs(doc["mean_photon"] - expected) <= OPO_REL_TOL * max(1.0, expected)
+    rho = signal_density(op, 30).entries
+    mean_a = np.trace(rho @ annihilation_matrix(rho.shape[0]))
+    _, rows, _ = _read_rows(out)
+    assert abs(complex(rows[4][0], rows[4][1]) - mean_a) <= OPO_REL_TOL
 
 
 def test_opo_tail_overflow_exits_4(tmp_path, capsys):

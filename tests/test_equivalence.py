@@ -2,15 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import support_ops
+from thermalcoherent import _hyper
 from thermalcoherent import (
     DisplacementParams,
     EquivalenceResult,
-    StateKind,
     ThermalParams,
+    apply_exp_generator,
     check_double_vs_round,
     check_trotter_vs_round,
     displacement_D,
@@ -21,7 +23,6 @@ from thermalcoherent import (
     series_limits,
     squeeze_U,
     vacuum_two_mode,
-    xi_eigenvalue,
 )
 
 STATE_TOL = 1e-9
@@ -68,14 +69,21 @@ def test_double_map_closed_form_and_inverse():
     assert back_zeta == pytest.approx(zeta, abs=1e-13)
 
 
-def test_trotter_map_matches_eigenvalue_formula():
-    """The mapped round amplitude doubles as the xi eigenvalue."""
-    dp = DisplacementParams(alpha=0.7 + 0.3j, zeta=0.1 - 0.6j)
-    tp = ThermalParams.from_theta(0.45)
-    res = map_trotter_to_round(dp.alpha, dp.zeta, tp.theta)
-    assert res.alpha_round == pytest.approx(
-        xi_eigenvalue(StateKind.TROTTER, dp, tp), abs=1e-14
-    )
+def test_trotter_map_at_negative_angle():
+    """The map is analytic in theta: a negative angle off the invariant slice.
+
+    ThermalParams refuses theta < 0, so both sides are built with the
+    kernel directly: exp(theta G + alpha a+ - ... )|0,0~> against
+    exp(i phase) U(theta) D(alpha', zeta')|0,0~>.
+    """
+    alpha, zeta, theta, d = 0.5 + 0.3j, -0.2 + 0.6j, -0.4, 40
+    res = map_trotter_to_round(alpha, zeta, theta)
+    assert res.phase_theta != 0.0
+    vac = vacuum_two_mode(d)
+    trotter = apply_exp_generator(vac, theta, alpha, zeta)
+    displaced = apply_exp_generator(vac, 0.0, res.alpha_round, res.zeta_round)
+    mapped = np.exp(1j * res.phase_theta) * apply_exp_generator(displaced, theta, 0.0, 0.0)
+    assert np.linalg.norm(trotter - mapped) < STATE_TOL
 
 
 def test_series_limits_match_partial_sums():
@@ -100,6 +108,26 @@ def test_series_limits_small_angle_behavior():
     assert c3 == pytest.approx(0.5e-8, rel=1e-6)
     with pytest.raises(ValueError):
         series_limits(-0.1)
+
+
+HYPER_REFERENCES = {
+    "sinhc": lambda t: mpmath.sinh(t) / t,
+    "coshm1_over": lambda t: (mpmath.cosh(t) - 1) / t,
+    "sinhm_over_sq": lambda t: (mpmath.sinh(t) - t) / t**2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPER_REFERENCES))
+def test_hyper_quotients_match_mpmath(name):
+    """A few ulps of 50-digit arithmetic on a log grid across every switch, both signs."""
+    fn, ref = getattr(_hyper, name), HYPER_REFERENCES[name]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for t in np.logspace(-8.0, math.log10(30.0), 2000):
+            for x in (float(t), -float(t)):
+                exact = ref(mpmath.mpf(x))
+                worst = max(worst, float(abs((fn(x) - exact) / exact)))
+    assert worst < 4.0 * np.finfo(float).eps, f"{name}: {worst:.3e}"
 
 
 def test_support_helpers_match_dense_operators():

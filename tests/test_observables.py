@@ -19,9 +19,10 @@ from thermalcoherent import (
     chi_signal,
     displacement_D,
     mean_amplitude_factor,
-    mean_quadratures,
+    moments_from_cf,
     quadrature_moments_numeric,
     quadrature_operators,
+    round_form,
     uncertainty_product,
 )
 
@@ -77,25 +78,16 @@ def test_cf_full_matches_numeric_expectation(kind):
 
     The closed form describes the squeeze-after-displace state, so the
     other two orderings enter through their mapped round amplitudes.
+    The global phase of the ROUND form cancels in expectation values.
     """
-    from thermalcoherent import map_double_to_round, map_trotter_to_round
-
     alpha, zeta, theta = 0.6 + 0.3j, 0.2 - 0.4j, 0.5
     dp = DisplacementParams(alpha=alpha, zeta=zeta)
     tp = ThermalParams.from_theta(theta)
     state = build_state(kind, dp, tp, tail_tol=1e-14)
     d = state.dim_per_mode
-    if kind is StateKind.ROUND:
-        a_r, z_r, phase = alpha, zeta, 0.0
-    elif kind is StateKind.DOUBLE:
-        res = map_double_to_round(alpha, zeta, theta)
-        a_r, z_r, phase = res.alpha_round, res.zeta_round, res.phase_theta
-    else:
-        res = map_trotter_to_round(alpha, zeta, theta)
-        a_r, z_r, phase = res.alpha_round, res.zeta_round, res.phase_theta
-    del phase  # global phases cancel in expectation values
+    rf = round_form(kind, alpha, zeta, theta)
     for gamma, gamma_p in [(0.4, 0.0), (0.0, -0.3j), (0.2 - 0.5j, 0.1 + 0.3j)]:
-        closed = cf_full(a_r, z_r, theta, gamma, gamma_p)
+        closed = cf_full(rf.alpha_round, rf.zeta_round, theta, gamma, gamma_p)
         numeric = state.expectation(displacement_D(gamma, gamma_p, d))
         assert abs(closed - numeric) < CF_TOL
 
@@ -144,17 +136,18 @@ def test_mean_amplitude_factor_small_angle():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_mean_quadratures_match_numeric(kind):
+    """The ordinary-mode block of moments_from_cf against a kernel-built state."""
     alpha, theta = 0.7 + 0.4j, 0.55
     dp = DisplacementParams.invariant(alpha)
     tp = ThermalParams.from_theta(theta)
     pc = PhysicalConstants()
-    closed = mean_quadratures(kind, alpha, theta, pc)
+    closed = moments_from_cf(kind, dp.alpha, dp.zeta, theta, pc)
     state = build_state(kind, dp, tp, tail_tol=1e-12)
     numeric = quadrature_moments_numeric(state, pc)
-    assert numeric.mean_q == pytest.approx(closed.mean_q, abs=1e-9)
-    assert numeric.mean_p == pytest.approx(closed.mean_p, abs=1e-9)
-    assert numeric.var_q == pytest.approx(closed.var_q, abs=MOMENT_TOL)
-    assert numeric.var_p == pytest.approx(closed.var_p, abs=MOMENT_TOL)
+    assert numeric.mean_q == pytest.approx(closed.mean[0], abs=1e-9)
+    assert numeric.mean_p == pytest.approx(closed.mean[1], abs=1e-9)
+    assert numeric.var_q == pytest.approx(closed.cov[0, 0], abs=MOMENT_TOL)
+    assert numeric.var_p == pytest.approx(closed.cov[1, 1], abs=MOMENT_TOL)
 
 
 def test_quadrature_moments_numeric_against_dense_operators():
@@ -196,7 +189,7 @@ def test_quadrature_moments_validation():
 
 def test_variances_are_displacement_independent():
     theta = 0.65
-    small = mean_quadratures(StateKind.ROUND, 0.1, theta)
-    large = mean_quadratures(StateKind.ROUND, 2.0 + 1.0j, theta)
-    assert small.var_q == large.var_q
-    assert small.var_p == large.var_p
+    small = moments_from_cf(StateKind.ROUND, 0.1, 0.1, theta)
+    large = moments_from_cf(StateKind.ROUND, 2.0 + 1.0j, 2.0 - 1.0j, theta)
+    assert small.cov[0, 0] == large.cov[0, 0]
+    assert small.cov[1, 1] == large.cov[1, 1]

@@ -226,7 +226,7 @@ def test_completeness_constant_values():
 def test_completeness_defect_small():
     assert completeness_defect(0.3, 12) < 1e-3
     # the theta = 0 case reduces to coherent-state completeness
-    assert completeness_defect(0.0, 10, n_radial=64, n_angular=48) < 1e-3
+    assert completeness_defect(0.0, 10, n_angular=48) < 1e-3
 
 
 def test_completeness_defect_validation():
